@@ -410,18 +410,25 @@ pub fn sweep(
     (results, stats)
 }
 
-/// Every completed sweep of the process, in completion order — the
-/// "wall time per phase" log behind `repro --stats`.
+/// Retention cap for the per-process phase log: far above the sweeps
+/// one `repro` command runs, and bounded so a long-lived `served`,
+/// which never drains the log, does not grow with every request.
+pub const MAX_RETAINED_PHASES: usize = 64;
+
+/// The first [`MAX_RETAINED_PHASES`] completed sweeps since the last
+/// drain, in completion order — the "wall time per phase" log behind
+/// `repro --stats`.
 static PHASE_LOG: Mutex<Vec<SweepStats>> = Mutex::new(Vec::new());
 
 fn record_phase(stats: SweepStats) {
-    PHASE_LOG
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(stats);
+    let mut log = PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
+    if log.len() < MAX_RETAINED_PHASES {
+        log.push(stats);
+    }
 }
 
-/// Drains and returns the per-sweep phase log accumulated so far.
+/// Drains and returns the per-sweep phase log accumulated so far (at
+/// most [`MAX_RETAINED_PHASES`] entries).
 pub fn drain_phase_log() -> Vec<SweepStats> {
     std::mem::take(
         &mut *PHASE_LOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner),

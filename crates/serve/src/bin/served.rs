@@ -28,7 +28,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
 use ucore_serve::{Limits, Server, ServerConfig};
@@ -240,10 +239,12 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("served: listening (address unavailable: {e})"),
     }
     // Bridge the async-signal-safe flag to the server's shutdown handle.
+    // The self-connect that wakes the blocked acceptor is not
+    // async-signal-safe in std, so it runs here, off the handler.
     let shutdown = server.shutdown_handle();
     std::thread::spawn(move || loop {
         if signals::requested() {
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.request();
             return;
         }
         std::thread::sleep(Duration::from_millis(20));

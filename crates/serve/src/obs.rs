@@ -28,9 +28,12 @@
 use std::sync::{Arc, OnceLock};
 use ucore_obs::{Counter, Gauge, Histogram};
 
-/// Upper bounds (µs) for the request wall-time histogram.
-const REQUEST_US_BOUNDS: [f64; 8] =
-    [100.0, 500.0, 1000.0, 5000.0, 25000.0, 100000.0, 500000.0, 2000000.0];
+/// Upper bounds (µs) for the request wall-time histogram: fine from
+/// 10 µs to 1 ms, where warm requests land, then coarse up to 2 s.
+const REQUEST_US_BOUNDS: [f64; 13] = [
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 25000.0, 100000.0,
+    500000.0, 2000000.0,
+];
 
 /// One `Arc` per instrument, resolved from the registry exactly once.
 pub(crate) struct ServeMetrics {

@@ -6,23 +6,30 @@
 //! *and* the queue is full, sheds the connection immediately with a
 //! structured `server.overloaded` 503 — overload degrades into fast,
 //! explicit rejections, never unbounded queue growth or a hung client.
-//! Shutdown is a three-step drain: stop admitting (late arrivals get
-//! `server.draining` 503), let workers finish the queued and in-flight
-//! requests under a bounded drain deadline, then return so the caller
-//! can flush the journal and exit.
+//! The acceptor blocks in `accept`; a [`ShutdownHandle`] wakes it with
+//! a self-connect. Shutdown is a three-step drain: stop admitting (late
+//! arrivals get `server.draining` 503), let workers finish the queued
+//! and in-flight requests under a bounded drain deadline, then return
+//! so the caller can flush the journal and exit.
 
 use crate::error::ServeError;
 use crate::http::{self, Limits, ParseError};
 use crate::service::{self, Response};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps when `accept` has nothing to hand out.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after a failed `accept` (e.g.
+/// EMFILE), rather than spin or die.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Upper bound on the shutdown self-connect. Loopback connects finish at
+/// once unless the backlog is full, and then the acceptor has pending
+/// connections to return from `accept` with anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How often the drain loop re-checks worker completion.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
@@ -81,26 +88,47 @@ struct Occupancy {
     inflight: AtomicI64,
 }
 
+/// Stops a [`Server`]: [`request`](ShutdownHandle::request) sets the
+/// shutdown flag, then wakes the acceptor blocked in `accept`.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// Where a self-connect reaches the listener.
+    wake: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Begins the drain: sets the flag, then self-connects so the
+    /// acceptor returns from `accept` and sees it. The wake connection
+    /// is refused with `server.draining` like any late arrival.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+    }
+}
+
 /// A bound listener plus its shutdown flag; `run` turns it into the
 /// serving loop.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
-    /// Binds the listen address (nonblocking, so the acceptor can poll
-    /// the shutdown flag).
+    /// Binds the listen address. The listener stays blocking: the
+    /// acceptor sleeps in `accept` until a connection or the
+    /// [`ShutdownHandle`]'s self-connect arrives.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration failures from the OS.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Server { listener, config, shutdown: Arc::new(AtomicBool::new(false)) })
+        let wake = loopback_if_unspecified(listener.local_addr()?);
+        let shutdown = ShutdownHandle { flag: Arc::new(AtomicBool::new(false)), wake };
+        Ok(Server { listener, config, shutdown })
     }
 
     /// The bound address (useful after binding port 0).
@@ -112,10 +140,11 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The flag that stops the serving loop: set it (from a signal
-    /// handler or another thread) and `run` begins its drain.
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// The handle that stops the serving loop: call
+    /// [`ShutdownHandle::request`] from another thread and `run` begins
+    /// its drain.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.shutdown.clone()
     }
 
     /// Serves until the shutdown flag is set, then drains and returns.
@@ -144,6 +173,9 @@ impl Server {
         // Drop our sender so the queue disconnects once drained and the
         // workers exit their recv loops.
         drop(sender);
+        // The drain loop polls for late arrivals between worker checks,
+        // so `accept` must not block there.
+        let refuse_late = self.listener.set_nonblocking(true).is_ok();
         let deadline = Instant::now() + self.config.drain;
         let report = loop {
             let joined = handles.iter().filter(|h| h.is_finished()).count();
@@ -155,9 +187,11 @@ impl Server {
             }
             // Late arrivals during the drain window get an explicit
             // draining response instead of a connection reset.
-            if let Ok((stream, _)) = self.listener.accept() {
-                configure_stream(&stream, &self.config);
-                refuse(stream, &self.config, &ServeError::draining());
+            if refuse_late {
+                if let Ok((stream, _)) = self.listener.accept() {
+                    configure_stream(&stream, &self.config);
+                    refuse(stream, &self.config, &ServeError::draining());
+                }
             }
             std::thread::sleep(DRAIN_POLL);
         };
@@ -172,8 +206,17 @@ impl Server {
     /// Accepts until shutdown: admit to the bounded queue or shed.
     fn accept_loop(&self, sender: &SyncSender<TcpStream>, occupancy: &Occupancy) {
         let m = crate::obs::metrics();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            if self.shutdown.flag.load(Ordering::SeqCst) {
+                // A late arrival, or the shutdown wake itself.
+                if let Ok((stream, _)) = accepted {
+                    configure_stream(&stream, &self.config);
+                    refuse(stream, &self.config, &ServeError::draining());
+                }
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     m.accepted.inc();
                     configure_stream(&stream, &self.config);
@@ -193,17 +236,22 @@ impl Server {
                         }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    // Transient accept failure (e.g. EMFILE); back off
-                    // rather than spin or die.
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
     }
+}
+
+/// The listener's address as a client can dial it: an unspecified IP
+/// (`0.0.0.0`, `::`) becomes the loopback of the same family.
+fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// Applies socket timeouts; failures fall through to the read path,

@@ -10,13 +10,12 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use ucore_bench::Target;
 use ucore_project::durability::{self, DurabilityConfig};
 use ucore_project::faultinject::{Fault, FaultPlan};
-use ucore_serve::{Server, ServerConfig};
+use ucore_serve::{Server, ServerConfig, ShutdownHandle};
 
 /// Serializes tests around the process-global durability, fault, and
 /// metrics state.
@@ -30,13 +29,13 @@ fn serialized() -> MutexGuard<'static, ()> {
 /// A stopped server's pieces: address plus a closure that drains it.
 struct Running {
     addr: std::net::SocketAddr,
-    shutdown: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    shutdown: ShutdownHandle,
     handle: std::thread::JoinHandle<std::io::Result<ucore_serve::DrainReport>>,
 }
 
 impl Running {
     fn stop(self) -> ucore_serve::DrainReport {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
         self.handle
             .join()
             .expect("server thread")
@@ -206,7 +205,7 @@ fn graceful_drain_finishes_inflight_and_refuses_late_arrivals() {
     std::thread::sleep(Duration::from_millis(100));
 
     // Begin the drain.
-    server.shutdown.store(true, Ordering::SeqCst);
+    server.shutdown.request();
     std::thread::sleep(Duration::from_millis(50));
 
     // A late arrival gets an explicit draining refusal, not a reset.
@@ -222,6 +221,41 @@ fn graceful_drain_finishes_inflight_and_refuses_late_arrivals() {
 
     let report = server.handle.join().expect("thread").expect("run");
     assert!(report.drained, "drain deadline expired");
+}
+
+/// Requests shutdown of a server that never saw a request and requires
+/// `run` to return a clean drain within 2 s. The acceptor is blocked in
+/// `accept`, so only the handle's self-connect can wake it.
+fn assert_idle_shutdown_is_prompt(server: Running) {
+    let started = Instant::now();
+    server.shutdown.request();
+    while !server.handle.is_finished() {
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "idle server still blocked in accept 2 s after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let report = server
+        .handle
+        .join()
+        .expect("server thread")
+        .expect("server run");
+    assert!(report.drained, "idle server failed to drain");
+}
+
+#[test]
+fn idle_shutdown_wakes_the_blocked_acceptor() {
+    let _gate = serialized();
+    assert_idle_shutdown_is_prompt(boot(|_| {}));
+}
+
+#[test]
+fn idle_shutdown_wakes_an_acceptor_bound_to_the_unspecified_address() {
+    let _gate = serialized();
+    let server = boot(|c| c.addr = "0.0.0.0:0".into());
+    assert!(server.addr.ip().is_unspecified());
+    assert_idle_shutdown_is_prompt(server);
 }
 
 #[test]
