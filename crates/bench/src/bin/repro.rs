@@ -665,14 +665,17 @@ fn print_stats(snapshot: &MetricsSnapshot, total: Duration) {
         } else {
             String::new()
         };
+        let threads = match s.threads {
+            1 => String::from("1 thread"),
+            n => format!("{n} threads"),
+        };
         eprintln!(
-            "sweep phase {i}: {} points ({} ok, {} infeasible, {} failed) on {} threads, \
+            "sweep phase {i}: {} points ({} ok, {} infeasible, {} failed) on {threads}, \
              {} cache hits, {} misses, {} journal hits, {} retries{lease_note}, {:.3} ms",
             s.points,
             s.points_ok,
             s.points_infeasible,
             s.points_failed,
-            s.threads,
             s.cache_hits,
             s.cache_misses,
             s.journal_hits,

@@ -259,6 +259,20 @@ fn trace_file_decodes_with_the_expected_schema() {
 fn profile_prints_a_phase_table_on_stderr_only() {
     let plain = repro(&["--json", "figure-6"]);
     let profiled = repro(&["--json", "figure-6", "--profile"]);
+    assert_profile_table(plain, profiled);
+}
+
+/// The same contract with figure 6 fanned over two sweep workers, so
+/// the nested folded stack must also hold for spans opened on worker
+/// threads, not only for a batch the default config runs inline.
+#[test]
+fn profile_prints_a_phase_table_on_stderr_only_with_two_workers() {
+    let plain = repro_threads(&["--json", "figure-6"], "2");
+    let profiled = repro_threads(&["--json", "figure-6", "--profile"], "2");
+    assert_profile_table(plain, profiled);
+}
+
+fn assert_profile_table(plain: std::process::Output, profiled: std::process::Output) {
     assert!(profiled.status.success());
     assert_eq!(plain.stdout, profiled.stdout, "profile never touches stdout");
     let err = String::from_utf8(profiled.stderr).unwrap();

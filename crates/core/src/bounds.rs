@@ -112,6 +112,32 @@ pub struct BoundSet {
     r: f64,
 }
 
+/// The Table 1 quantities that do not depend on `r`: the two serial caps
+/// on `r` and the parallel performance the bandwidth budget admits. An
+/// `r` sweep computes them once and passes them to
+/// [`BoundSet::compute_with_caps`] for every candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SweepCaps {
+    r_max_power: f64,
+    r_max_bandwidth: f64,
+    perf_cap: f64,
+}
+
+impl SweepCaps {
+    /// Computes the caps for `spec` under `budgets`.
+    pub(crate) fn new(spec: &ChipSpec, budgets: &Budgets) -> Self {
+        // Serial bandwidth: perf(r)^e <= B  =>  perf(r) <= B^(1/e), the
+        // same performance cap the parallel phase is held to.
+        let perf_cap = spec.max_perf_for_bandwidth(budgets.bandwidth());
+        SweepCaps {
+            // Serial-phase caps: the sequential core alone must fit.
+            r_max_power: spec.power_law().max_area_for_power(budgets.power()),
+            r_max_bandwidth: spec.law().area_for_perf(perf_cap),
+            perf_cap,
+        }
+    }
+}
+
 impl BoundSet {
     /// Computes every Table 1 bound for a sequential-core size `r`.
     ///
@@ -183,26 +209,61 @@ impl BoundSet {
         Ok(bounds)
     }
 
+    /// [`Self::compute_quiet`] with the `r`-independent caps supplied by
+    /// the caller, so an `r` sweep computes them once instead of per
+    /// candidate. Same checks in the same order, same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Infeasibility`] kind, as [`Self::compute_quiet`]
+    /// does.
+    pub(crate) fn compute_with_caps(
+        spec: &ChipSpec,
+        budgets: &Budgets,
+        caps: &SweepCaps,
+        r: f64,
+    ) -> Result<Self, Infeasibility> {
+        if !(r.is_finite() && r > 0.0) {
+            return Err(Infeasibility::InvalidR);
+        }
+        if r > caps.r_max_power + 1e-9 {
+            return Err(Infeasibility::SerialPower);
+        }
+        if r > caps.r_max_bandwidth + 1e-9 {
+            return Err(Infeasibility::SerialBandwidth);
+        }
+        let bounds = Self::unchecked_with_caps(spec, budgets, caps, r);
+        if bounds.n_max() < r - 1e-9 {
+            return Err(Infeasibility::NoParallelRoom);
+        }
+        Ok(bounds)
+    }
+
     /// Evaluates every Table 1 bound expression without feasibility
     /// checks. All the expressions are well-defined for any positive `r`.
     fn unchecked(spec: &ChipSpec, budgets: &Budgets, r: f64) -> Self {
-        let law = spec.law();
-        let power_law = spec.power_law();
+        Self::unchecked_with_caps(spec, budgets, &SweepCaps::new(spec, budgets), r)
+    }
+
+    /// The `r`-dependent half of [`Self::unchecked`]: the parallel-phase
+    /// bounds on `n`, from precomputed caps.
+    fn unchecked_with_caps(
+        spec: &ChipSpec,
+        budgets: &Budgets,
+        caps: &SweepCaps,
+        r: f64,
+    ) -> Self {
         let p = budgets.power();
-        let b = budgets.bandwidth();
-
-        // Serial-phase caps: the sequential core alone must fit.
-        let r_max_power = power_law.max_area_for_power(p);
-        // Serial bandwidth: perf(r)^e <= B  =>  perf(r) <= B^(1/e).
-        let r_max_bandwidth = law.area_for_perf(spec.max_perf_for_bandwidth(b));
-
-        let seq_power = power_law.power_of_perf(law.perf(r));
-        let seq_perf = law.perf(r);
+        let perf_cap = caps.perf_cap;
+        let seq_perf = spec.law().perf(r);
+        // Only the machines whose big core runs in the parallel phase
+        // pay its power there.
+        let seq_power = || spec.power_law().power_of_perf(seq_perf);
 
         // Parallel-phase power bound on n.
         let n_power = match spec.kind() {
-            ChipKind::Symmetric => p * r / seq_power,
-            ChipKind::Asymmetric => p - seq_power + r,
+            ChipKind::Symmetric => p * r / seq_power(),
+            ChipKind::Asymmetric => p - seq_power() + r,
             ChipKind::AsymmetricOffload => p + r,
             ChipKind::Dynamic => p,
             ChipKind::Heterogeneous(u) => p / u.phi() + r,
@@ -211,7 +272,6 @@ impl BoundSet {
         // Parallel-phase bandwidth bound on n: the budget caps parallel
         // *performance* at B^(1/e); each machine maps that performance
         // cap back to an n (parallel performance is affine in n).
-        let perf_cap = spec.max_perf_for_bandwidth(b);
         let n_bandwidth = match spec.kind() {
             ChipKind::Symmetric => perf_cap * r / seq_perf,
             ChipKind::Asymmetric => perf_cap - seq_perf + r,
@@ -224,8 +284,8 @@ impl BoundSet {
             n_area: budgets.area(),
             n_power,
             n_bandwidth,
-            r_max_power,
-            r_max_bandwidth,
+            r_max_power: caps.r_max_power,
+            r_max_bandwidth: caps.r_max_bandwidth,
             r,
         }
     }
@@ -446,6 +506,38 @@ mod tests {
                         (Ok(l), Ok(q)) => assert_eq!(l, q, "{} r={r}", spec.kind()),
                         (Err(_), Err(_)) => {}
                         (l, q) => panic!("disagree for {} r={r}: {l:?} vs {q:?}", spec.kind()),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precomputed_caps_agree_with_compute_quiet() {
+        use crate::seq::{PollackLaw, SerialPowerLaw};
+        let specs = [
+            ChipSpec::symmetric(),
+            ChipSpec::asymmetric(),
+            ChipSpec::asymmetric_offload(),
+            ChipSpec::dynamic(),
+            ChipSpec::heterogeneous(UCore::new(5.0, 0.5).unwrap()),
+        ];
+        for base in &specs {
+            for spec in [
+                *base,
+                base.with_power_law(SerialPowerLaw::scenario_six())
+                    .with_law(PollackLaw::new(0.3).unwrap())
+                    .with_bandwidth_exponent(1.5),
+            ] {
+                for b in [budgets(100.0, 10.0, 20.0), budgets(5.0, 0.9, 1.5)] {
+                    let caps = SweepCaps::new(&spec, &b);
+                    for r in [f64::NAN, 0.5, 1.0, 4.0, 16.0, 64.0] {
+                        assert_eq!(
+                            BoundSet::compute_with_caps(&spec, &b, &caps, r),
+                            BoundSet::compute_quiet(&spec, &b, r),
+                            "{} r={r}",
+                            spec.kind()
+                        );
                     }
                 }
             }

@@ -253,16 +253,7 @@ impl ChipSpec {
         budgets: &Budgets,
     ) -> Result<Evaluation, ModelError> {
         let bounds = BoundSet::compute(self, budgets, r)?;
-        if n > bounds.n_max() + 1e-9 {
-            return Err(ModelError::Infeasible {
-                reason: format!(
-                    "n = {n} exceeds the {} bound of {:.3}",
-                    bounds.limiter(),
-                    bounds.n_max()
-                ),
-            });
-        }
-        let speedup = self.speedup(f, n, r)?;
+        let speedup = self.speedup_within(f, n, r, &bounds)?;
         Ok(Evaluation {
             speedup,
             limiter: bounds.limiter(),
@@ -272,6 +263,29 @@ impl ChipSpec {
             parallel_power: self.parallel_power(n, r),
             parallel_bandwidth: self.parallel_bandwidth(n, r),
         })
+    }
+
+    /// The budget check and speedup of [`Self::evaluate`], against the
+    /// already-resolved `bounds` for the same `r`. The optimizer's `r`
+    /// sweep ranks candidates by this alone and builds the full
+    /// [`Evaluation`] only for the winner.
+    pub(crate) fn speedup_within(
+        &self,
+        f: ParallelFraction,
+        n: f64,
+        r: f64,
+        bounds: &BoundSet,
+    ) -> Result<Speedup, ModelError> {
+        if n > bounds.n_max() + 1e-9 {
+            return Err(ModelError::Infeasible {
+                reason: format!(
+                    "n = {n} exceeds the {} bound of {:.3}",
+                    bounds.limiter(),
+                    bounds.n_max()
+                ),
+            });
+        }
+        self.speedup(f, n, r)
     }
 }
 

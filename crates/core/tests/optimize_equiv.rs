@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use ucore_core::optimize::{pruned_max_scan, PrunedScan, DESCENT_RUN};
 use ucore_core::{
     Budgets, ChipSpec, ModelError, Objective, OptimalDesign, Optimizer,
-    ParallelFraction, UCore,
+    ParallelFraction, PollackLaw, SerialPowerLaw, UCore,
 };
 
 /// Renders both sides of an optimize call for exact-bits comparison:
@@ -53,6 +53,35 @@ fn all_specs(mu: f64, phi: f64) -> Vec<ChipSpec> {
     ]
 }
 
+/// [`all_specs`] with every law the optimizer's `r`-independent caps
+/// read replaced: the serial power law (α), the Pollack exponent and the
+/// bandwidth exponent.
+fn all_specs_with_laws(
+    mu: f64,
+    phi: f64,
+    power_law: SerialPowerLaw,
+    pollack: f64,
+    bw_exponent: f64,
+) -> Vec<ChipSpec> {
+    let law = PollackLaw::new(pollack).unwrap();
+    all_specs(mu, phi)
+        .into_iter()
+        .map(|spec| {
+            spec.with_power_law(power_law)
+                .with_law(law)
+                .with_bandwidth_exponent(bw_exponent)
+        })
+        .collect()
+}
+
+fn any_objective() -> impl Strategy<Value = Objective> {
+    prop::sample::select(vec![
+        Objective::MaxSpeedup,
+        Objective::MinEnergy,
+        Objective::MinEnergyDelay,
+    ])
+}
+
 proptest! {
     /// The load-bearing property: over random budgets, U-cores, parallel
     /// fractions, objectives and sweep grids (integer and fractional
@@ -66,11 +95,7 @@ proptest! {
         mu in 0.1..60.0f64,
         phi in 0.05..6.0f64,
         f in 0.0..=1.0f64,
-        objective in prop::sample::select(vec![
-            Objective::MaxSpeedup,
-            Objective::MinEnergy,
-            Objective::MinEnergyDelay,
-        ]),
+        objective in any_objective(),
         grid in prop::sample::select(vec![
             (1.0, 16.0, 1.0),
             (0.5, 24.0, 0.25),
@@ -85,6 +110,37 @@ proptest! {
             .unwrap()
             .with_objective(objective);
         for spec in all_specs(mu, phi) {
+            assert_equivalent(&opt, &spec, &budgets, f);
+        }
+    }
+
+    /// The same exact-bits agreement with the laws varied as well as the
+    /// budgets: α (including the paper's scenario-6 law), the Pollack
+    /// exponent and the bandwidth exponent all feed the caps the tuned
+    /// search computes once per call, so each must leave the result
+    /// unchanged.
+    #[test]
+    fn tuned_matches_exhaustive_across_laws(
+        a in 1.0..500.0f64,
+        p in 0.5..120.0f64,
+        b in 0.5..1200.0f64,
+        mu in 0.1..60.0f64,
+        phi in 0.05..6.0f64,
+        f in 0.0..=1.0f64,
+        power_law in prop::sample::select(vec![
+            SerialPowerLaw::paper_default(),
+            SerialPowerLaw::scenario_six(),
+            SerialPowerLaw::new(1.2).unwrap(),
+            SerialPowerLaw::new(3.0).unwrap(),
+        ]),
+        pollack in 0.3..0.8f64,
+        bw_exponent in 0.5..1.5f64,
+        objective in any_objective(),
+    ) {
+        let budgets = Budgets::new(a, p, b).unwrap();
+        let f = ParallelFraction::new(f).unwrap();
+        let opt = Optimizer::paper_default().with_objective(objective);
+        for spec in all_specs_with_laws(mu, phi, power_law, pollack, bw_exponent) {
             assert_equivalent(&opt, &spec, &budgets, f);
         }
     }
@@ -290,6 +346,36 @@ fn energy_objectives_equivalent_on_fixed_grid() {
         let opt = Optimizer::paper_default().with_objective(objective);
         for spec in all_specs(5.0, 0.5) {
             assert_equivalent(&opt, &spec, &budgets, f);
+        }
+    }
+}
+
+/// The paper grid again, under every objective, with each law the caps
+/// depend on moved off its default one at a time and all together.
+#[test]
+fn paper_grid_is_equivalent_across_laws() {
+    let law_variants = [
+        (SerialPowerLaw::scenario_six(), 0.5, 1.0),
+        (SerialPowerLaw::paper_default(), 0.3, 1.0),
+        (SerialPowerLaw::paper_default(), 0.8, 1.0),
+        (SerialPowerLaw::paper_default(), 0.5, 0.5),
+        (SerialPowerLaw::paper_default(), 0.5, 1.5),
+        (SerialPowerLaw::scenario_six(), 0.4, 0.75),
+    ];
+    for objective in [Objective::MaxSpeedup, Objective::MinEnergy, Objective::MinEnergyDelay] {
+        let opt = Optimizer::paper_default().with_objective(objective);
+        for f in [0.5, 0.9, 0.99, 0.999] {
+            let f = ParallelFraction::new(f).unwrap();
+            for (a, p, b) in [(19.0, 7.4, 1000.0), (40.0, 12.0, 6.4), (16.0, 3.0, 2.0)] {
+                let budgets = Budgets::new(a, p, b).unwrap();
+                for (power_law, pollack, bw_exponent) in law_variants {
+                    for spec in
+                        all_specs_with_laws(27.4, 0.79, power_law, pollack, bw_exponent)
+                    {
+                        assert_equivalent(&opt, &spec, &budgets, f);
+                    }
+                }
+            }
         }
     }
 }
