@@ -468,8 +468,8 @@ impl Drop for RequestDeadlineGuard {
 /// has elapsed — inside a sweep that panic is contained per point, so
 /// an over-budget request degrades to fast `Failed` outcomes instead of
 /// hanging. The deadline is thread-local: a serving worker that runs
-/// its sweeps on the same thread (`UCORE_SWEEP_THREADS=1`) covers the
-/// whole request.
+/// its sweeps on the same thread (the default single-thread sweep)
+/// covers the whole request.
 #[must_use]
 pub fn arm_request_deadline(budget: Duration) -> RequestDeadlineGuard {
     let previous =
