@@ -24,9 +24,8 @@ use crate::chip::{ChipKind, ChipSpec};
 use crate::error::ModelError;
 use crate::optimize::{Objective, OptimalDesign, Optimizer};
 use crate::units::ParallelFraction;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use ucore_obs::{Counter, Gauge};
 
 /// An `f64` reduced to hashable canonical bits.
@@ -166,7 +165,9 @@ impl CacheStats {
 /// Both feasible and infeasible outcomes are stored. Reads take a shared
 /// lock; the first evaluation of a point runs *outside* any lock (the
 /// optimizer sweep is the expensive part) and then takes the exclusive
-/// lock only to insert, so concurrent sweeps scale.
+/// lock only to insert, so concurrent sweeps scale. A poisoned lock is
+/// recovered rather than propagated: each critical section is a single
+/// map read or insert, which a panicking holder cannot leave half-done.
 ///
 /// Activity counters are [`ucore_obs`] instruments. A private cache
 /// ([`EvalCache::new`]) carries detached instruments, so tests keep
@@ -235,7 +236,7 @@ impl EvalCache {
         f: ParallelFraction,
     ) -> Result<OptimalDesign, ModelError> {
         let key = EvalKey::new(optimizer, spec, budgets, f);
-        if let Some(cached) = self.map.read().get(&key) {
+        if let Some(cached) = self.map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             self.hits.inc();
             self.lookups.inc();
             return cached.clone();
@@ -245,7 +246,7 @@ impl EvalCache {
         self.lookups.inc();
         // A racing thread may have inserted the same key meanwhile; both
         // computed the same pure function, so either value is correct.
-        let mut map = self.map.write();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         map.insert(key, result.clone());
         // Published under the write lock, so the gauge settles on the
         // final map size.
@@ -259,13 +260,13 @@ impl EvalCache {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            entries: self.map.read().len(),
+            entries: self.map.read().unwrap_or_else(PoisonError::into_inner).len(),
         }
     }
 
     /// Drops all stored entries (counters keep accumulating).
     pub fn clear(&self) {
-        let mut map = self.map.write();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         map.clear();
         self.entries.set(0.0);
     }

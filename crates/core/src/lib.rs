@@ -58,13 +58,11 @@ pub mod bounds;
 pub mod budget;
 pub mod cache;
 pub mod chip;
-pub mod critical;
 pub mod energy;
 pub mod error;
 pub mod gustafson;
 pub mod hillmarty;
 pub mod metrics;
-pub mod mix;
 pub mod optimize;
 pub mod portfolio;
 pub mod powersave;
@@ -79,12 +77,10 @@ pub use bounds::{BoundSet, Constraint, Infeasibility, Limiter};
 pub use budget::Budgets;
 pub use cache::{CacheStats, EvalCache, EvalKey, F64Key};
 pub use chip::{ChipSpec, DesignPoint, Evaluation};
-pub use critical::CriticalSectionWorkload;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{ErrorCategory, ModelError};
 pub use gustafson::scaled_speedup;
 pub use metrics::{energy_delay_product, perf_per_watt};
-pub use mix::{MixedChip, UCorePartition};
 pub use optimize::{Objective, OptimalDesign, Optimizer};
 pub use portfolio::{Allocation, PortfolioChip};
 pub use powersave::{min_power_for_target, IsoPerformanceDesign};

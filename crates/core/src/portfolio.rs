@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn interior_allocation_follows_the_sqrt_rule() {
-        // w/mu = 0.5/4 and 0.5/1: shares 1:2 (the mix.rs closed form).
+        // w/mu = 0.5/4 and 0.5/1: shares 1:2 (a_k ∝ √(w_k/µ_k)).
         let c = chip(13.0, 1.0, vec![seg(0.5, 4.0, 1.0), seg(0.5, 1.0, 1.0)]);
         let alloc = c.allocate().unwrap();
         assert!((alloc.areas[0] - 4.0).abs() < 1e-12, "{:?}", alloc.areas);

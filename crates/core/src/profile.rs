@@ -14,7 +14,7 @@
 //! A structural consequence worth knowing: because the modeled execution
 //! time of a *fixed* design is linear in `f`, its profile speedup equals
 //! its speedup at the profile's **mean** `f`. The profile machinery pays
-//! off when phases run on different fabrics ([`crate::mix::MixedChip`])
+//! off when phases run on different fabrics ([`crate::PortfolioChip`])
 //! or when designs are compared/re-optimized per profile — not for a
 //! single fixed design.
 
@@ -226,7 +226,7 @@ mod tests {
         // Because the modeled execution time is *linear* in f, a fixed
         // design's profile speedup collapses exactly to the mean-f
         // speedup. (Profiles earn their keep with per-phase fabrics —
-        // see `MixedChip` — or per-phase design re-optimization.)
+        // see `PortfolioChip` — or per-phase design re-optimization.)
         let spec = ChipSpec::heterogeneous(UCore::new(20.0, 1.0).unwrap());
         let profile =
             ParallelismProfile::new(vec![(f(0.5), 0.5), (f(1.0), 0.5)]).unwrap();

@@ -24,7 +24,7 @@ use crate::units::ParallelFraction;
 use serde::{Deserialize, Serialize};
 
 /// How far `serial_weight + Σ w_k` may drift from 1 before the workload
-/// is rejected (same tolerance as [`crate::MixedChip`]'s share check).
+/// is rejected.
 pub const WEIGHT_SUM_TOLERANCE: f64 = 1e-6;
 
 /// One execution segment: a fraction of baseline execution time plus the

@@ -16,8 +16,8 @@
 
 use proptest::prelude::*;
 use ucore_core::{
-    heterogeneous, MixedChip, ModelError, ParallelFraction, PollackLaw, PortfolioChip,
-    Segment, SegmentedWorkload, UCore, UCorePartition,
+    heterogeneous, ModelError, ParallelFraction, PollackLaw, PortfolioChip, Segment,
+    SegmentedWorkload, UCore,
 };
 
 /// Grid sizes keeping the oracle's composition count (`C(G−1, k−1)`)
@@ -291,11 +291,10 @@ fn budget_too_small_is_infeasible_from_both_sides() {
     ));
 }
 
-/// The `a_k ∝ √(w_k/µ_k)` Lagrange rule documented in `mix.rs` agrees
-/// with the portfolio allocator and with the Multi-Amdahl closed form on
-/// the shared 2-segment case — three independent expressions of the same
-/// optimum (the satellite fix of ISSUE 10: neither side needed
-/// correcting, and this regression test keeps them agreeing).
+/// The optimal area split of a mixed-fabric chip (the paper's §6.3
+/// "mixing and matching"), written out as the Multi-Amdahl closed form
+/// `a_k ∝ √(w_k/µ_k)`, agrees with the portfolio allocator on the
+/// 2-segment case.
 #[test]
 fn mixed_chip_optimal_shares_match_portfolio_allocator() {
     let (n, r) = (13.0, 1.0);
@@ -305,22 +304,7 @@ fn mixed_chip_optimal_shares_match_portfolio_allocator() {
         ((0.25, 482.0), (0.75, 5.68)),
     ];
     for ((w1, mu1), (w2, mu2)) in cases {
-        // mix.rs: shares of the parallel area, via with_optimal_shares.
-        let partitions = vec![
-            UCorePartition {
-                ucore: UCore::new(mu1, 1.0).unwrap(),
-                area_share: 0.5,
-                work_share: w1,
-            },
-            UCorePartition {
-                ucore: UCore::new(mu2, 1.0).unwrap(),
-                area_share: 0.5,
-                work_share: w2,
-            },
-        ];
-        let mixed = MixedChip::new(n, r, partitions).unwrap().with_optimal_shares();
-
-        // portfolio.rs: absolute areas out of the same budget. The
+        // portfolio.rs: absolute areas out of the parallel area. The
         // portfolio weights are the parallel weights scaled so the
         // workload sums to 1 with a serial part; the *ratio* w/µ per
         // segment is what the rule depends on, so shares are unchanged.
@@ -340,11 +324,6 @@ fn mixed_chip_optimal_shares_match_portfolio_allocator() {
         let closed = [budget * s1 / (s1 + s2), budget * s2 / (s1 + s2)];
 
         for (k, &expected) in closed.iter().enumerate() {
-            let from_mix = mixed.partitions()[k].area_share * budget;
-            assert!(
-                (from_mix - expected).abs() < 1e-9 * expected,
-                "mix.rs share {k}: {from_mix} vs closed form {expected}"
-            );
             assert!(
                 (alloc.areas[k] - expected).abs() < 1e-9 * expected,
                 "portfolio area {k}: {} vs closed form {expected}",

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use ucore_core::{
     amdahl, asymmetric, asymmetric_offload, dynamic, heterogeneous, symmetric,
     BoundSet, Budgets, ChipSpec, EnergyModel, Optimizer, ParallelFraction,
-    PollackLaw, UCore,
+    PollackLaw, PortfolioChip, Segment, SegmentedWorkload, UCore,
 };
 
 fn fraction() -> impl Strategy<Value = ParallelFraction> {
@@ -189,25 +189,18 @@ proptest! {
     ) {
         // Splitting area between two fabrics cannot beat giving the whole
         // area to a hypothetical fabric as fast as the faster of the two.
-        use ucore_core::{MixedChip, UCorePartition};
         let f = ParallelFraction::new(0.99).unwrap();
-        let chip = MixedChip::new(
-            20.0,
-            1.0,
+        let workload = SegmentedWorkload::new(
+            f.serial(),
             vec![
-                UCorePartition {
-                    ucore: UCore::new(mu1, 1.0).unwrap(),
-                    area_share: 0.5,
-                    work_share: w,
-                },
-                UCorePartition {
-                    ucore: UCore::new(mu2, 1.0).unwrap(),
-                    area_share: 0.5,
-                    work_share: 1.0 - w,
-                },
+                Segment::new(f.get() * w, UCore::new(mu1, 1.0).unwrap()).unwrap(),
+                Segment::new(f.get() * (1.0 - w), UCore::new(mu2, 1.0).unwrap()).unwrap(),
             ],
         )
         .unwrap();
+        let chip = PortfolioChip::new(20.0, 1.0, workload).unwrap();
+        let half = 0.5 * chip.parallel_area();
+        let split = chip.speedup_for(&[half, half]).unwrap();
         let best_mu = mu1.max(mu2);
         let ideal = heterogeneous(
             f,
@@ -217,6 +210,6 @@ proptest! {
             &PollackLaw::default(),
         )
         .unwrap();
-        prop_assert!(chip.speedup(f).unwrap().get() <= ideal.get() + 1e-9);
+        prop_assert!(split.get() <= ideal.get() + 1e-9);
     }
 }

@@ -6,7 +6,7 @@
 //! subsequent [`sweep`](crate::sweep::sweep) consults:
 //!
 //! * **Journal** — each completed point is appended to the configured
-//!   [`journal`](crate::journal) file, so a killed run can be resumed.
+//!   [`journal`] file, so a killed run can be resumed.
 //! * **Resume** — the journal of a previous (interrupted) run is
 //!   replayed up front; points whose `(sweep, index, fingerprint)`
 //!   matches a journaled record are *not* re-evaluated, and the figure

@@ -1,7 +1,7 @@
 //! Ready-made reproductions of the paper's projection figures.
 //!
 //! Figures are assembled by fanning their `(f, design, node)` grid over
-//! the parallel [`sweep`](crate::sweep) engine. The sweep returns
+//! the parallel [`sweep`](mod@crate::sweep) engine. The sweep returns
 //! results in submission order and each point is memoized in the
 //! process-wide evaluation cache, so figure output is deterministic
 //! (bit-identical to a sequential build) and points shared between

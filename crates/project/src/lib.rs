@@ -8,7 +8,7 @@
 //!   alternatives (bandwidth, area, power, serial-power variations);
 //! * [`engine`] — the projection engine: budgets per node, optimal
 //!   sequential-core sizing, limiting-constraint classification;
-//! * [`sweep`] — the parallel sweep engine: fans a figure's
+//! * [`sweep`](mod@sweep) — the parallel sweep engine: fans a figure's
 //!   `(f, design, node)` grid over scoped worker threads with
 //!   deterministic, submission-ordered results, backed by the
 //!   process-wide memoization cache ([`ucore_core::EvalCache`]);
@@ -111,8 +111,8 @@ pub use shard::{
     MergeReport, OrchestratorConfig, ShardError, ShardOutcome, ShardRunReport, ShardSpec,
 };
 pub use sweep::{
-    failure_diagnostics, failures_dropped, figure_points, outcome_totals, sweep,
-    FailureDiagnostic, Outcome, OutcomeTotals, SweepConfig, SweepPoint, SweepResult,
-    SweepStats, MAX_RETAINED_FAILURES,
+    catch_unwind_quietly, failure_diagnostics, failures_dropped, figure_points,
+    outcome_totals, sweep, FailureDiagnostic, Outcome, OutcomeTotals, SweepConfig,
+    SweepPoint, SweepResult, SweepStats, MAX_RETAINED_FAILURES,
 };
 pub use uncertainty::{speedup_interval, InputUncertainty, SpeedupInterval};

@@ -32,7 +32,7 @@
 //!
 //! Every point evaluates inside [`std::panic::catch_unwind`]: a panic —
 //! a model bug on a pathological corner of the design space, or a fault
-//! injected by [`faultinject`](crate::faultinject) — degrades that one
+//! injected by [`faultinject`] — degrades that one
 //! point to [`Outcome::Failed`] instead of aborting the sweep. The
 //! containment guarantees are:
 //!
@@ -241,7 +241,7 @@ pub struct OutcomeTotals {
 /// The process-wide outcome totals (the `repro --stats` /
 /// `--max-failures` counters) — since ISSUE 5 a typed view of the
 /// `points.ok` / `points.infeasible` / `points.failed` registry
-/// counters (see [`crate::obs`] for the metric-name contract).
+/// counters (see `crate::obs` for the metric-name contract).
 pub fn outcome_totals() -> OutcomeTotals {
     let m = obs::metrics();
     OutcomeTotals {
@@ -593,11 +593,11 @@ fn parallel_resolutions(
         Some(_) => (0..threads).map(|_| Mutex::new(None)).collect(),
         None => Vec::new(),
     };
-    let scope_result = crossbeam::scope(|scope| {
+    let (tagged, worker_panics) = std::thread::scope(|scope| {
         let detector = watchdog.map(|budget| {
             let signal = &signal;
             let heartbeats = &heartbeats;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 stall_detector(budget, STALL_DETECTOR_PERIOD, signal, heartbeats)
             })
         });
@@ -605,7 +605,7 @@ fn parallel_resolutions(
             .map(|w| {
                 let next = &next;
                 let heartbeat = heartbeats.get(w);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -646,10 +646,6 @@ fn parallel_resolutions(
         }
         (tagged, worker_panics)
     });
-    let (tagged, worker_panics) = match scope_result {
-        Ok(collected) => collected,
-        Err(payload) => (Vec::new(), vec![panic_message(payload.as_ref())]),
-    };
 
     // Slot tagged resolutions into submission order; indices a dead
     // worker never delivered degrade to Failed.
@@ -792,21 +788,18 @@ fn evaluate_contained(
     if let Some(budget) = timeout {
         durability::arm_watchdog(budget);
     }
-    install_quiet_panic_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let caught = catch_unwind_quietly(|| {
         if matches!(fault, Some(Fault::Panic)) {
             // ucore-lint: allow(panic-reachability): deliberate fault injection exercising the containment boundary that catches it two lines down
             panic!("injected panic at point {index}");
         }
         evaluate(engine, point, use_cache)
-    }));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    });
     durability::disarm_watchdog();
     match caught {
         Ok(Some(node_point)) => Outcome::Feasible(node_point),
         Ok(None) => Outcome::Infeasible,
-        Err(payload) => Outcome::Failed { panic_msg: panic_message(payload.as_ref()) },
+        Err(panic_msg) => Outcome::Failed { panic_msg },
     }
 }
 
@@ -865,18 +858,37 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// Runs `f` under [`std::panic::catch_unwind`] with the process panic
+/// hook silenced on this thread, returning the panic's message if `f`
+/// panics. Contained faults are reported through the caller's own
+/// channel (an [`Outcome`], an HTTP error), not stderr noise.
+///
+/// Calls nest: on exit the quiet flag returns to its earlier value, so
+/// a sweep inside a contained render leaves the render still silenced.
+///
+/// # Errors
+///
+/// Returns the panic payload's text (see `panic_message`) when `f`
+/// panics.
+pub fn catch_unwind_quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    install_quiet_panic_hook();
+    let earlier = SUPPRESS_PANIC_OUTPUT.with(|s| s.replace(true));
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(f));
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(earlier));
+    caught.map_err(|payload| panic_message(payload.as_ref()))
+}
+
 thread_local! {
-    /// Set while a contained evaluation runs on this thread, so the
-    /// process panic hook stays silent for panics we are about to catch.
+    /// Set while [`catch_unwind_quietly`] runs on this thread, so the
+    /// process panic hook stays silent for panics it is about to catch.
     static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
 }
 
 static QUIET_HOOK: Once = Once::new();
 
 /// Installs (once) a panic hook that swallows output for panics raised
-/// inside a contained evaluation and delegates everything else to the
-/// previous hook — contained faults are reported through [`Outcome`],
-/// not stderr noise.
+/// inside [`catch_unwind_quietly`] and delegates everything else to the
+/// previous hook.
 fn install_quiet_panic_hook() {
     QUIET_HOOK.call_once(|| {
         let previous = std::panic::take_hook();
@@ -1163,5 +1175,18 @@ mod tests {
         assert_eq!(panic_message(owned.as_ref()), "owned payload");
         let other: Box<dyn Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn nested_containment_leaves_the_outer_call_silenced() {
+        let outer = catch_unwind_quietly(|| {
+            assert_eq!(catch_unwind_quietly(|| 7), Ok(7));
+            let inner_ok = SUPPRESS_PANIC_OUTPUT.with(Cell::get);
+            let inner: Result<(), String> = catch_unwind_quietly(|| panic!("inner fault"));
+            assert_eq!(inner, Err(String::from("inner fault")));
+            (inner_ok, SUPPRESS_PANIC_OUTPUT.with(Cell::get))
+        });
+        assert_eq!(outer, Ok((true, true)));
+        assert!(!SUPPRESS_PANIC_OUTPUT.with(Cell::get));
     }
 }

@@ -27,7 +27,7 @@
 //!   byte-identical output.
 //!
 //! Every request outcome is counted in the process-wide [`ucore_obs`]
-//! registry ([`obs`] documents the `serve.*` contract), rendered on
+//! registry (`obs` documents the `serve.*` contract), rendered on
 //! `GET /metrics`.
 
 #![forbid(unsafe_code)]

@@ -2,11 +2,11 @@
 //!
 //! The paper's kernels are "throughput-driven, i.e., many independent
 //! inputs are being computed": this module prices whole portfolios,
-//! sequentially or with a crossbeam-scoped thread pool, mirroring the
+//! sequentially or on scoped worker threads, mirroring the
 //! PARSEC workload shape.
 
 use super::{OptionParams, OptionPrice};
-use crate::kernel::WorkloadError;
+use crate::kernel::{join_workers, WorkloadError};
 
 /// Prices every option in `portfolio` sequentially.
 pub fn price_all(portfolio: &[OptionParams]) -> Vec<OptionPrice> {
@@ -79,16 +79,20 @@ pub fn price_all_parallel(
     }
     let mut out = vec![OptionPrice { call: 0.0, put: 0.0 }; portfolio.len()];
     let chunk = portfolio.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (inputs, results) in portfolio.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (params, price) in inputs.iter().zip(results.iter_mut()) {
-                    *price = params.price();
-                }
-            });
-        }
-    })
-    .map_err(|_| WorkloadError::WorkerPanicked { kernel: "Black-Scholes batch pricing" })?;
+    std::thread::scope(|scope| {
+        let handles = portfolio
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk))
+            .map(|(inputs, results)| {
+                scope.spawn(move || {
+                    for (params, price) in inputs.iter().zip(results.iter_mut()) {
+                        *price = params.price();
+                    }
+                })
+            })
+            .collect();
+        join_workers(handles, "Black-Scholes batch pricing")
+    })?;
     Ok(out)
 }
 

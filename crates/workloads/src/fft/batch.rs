@@ -3,11 +3,11 @@
 //! "To satisfy compute-bound requirements, all kernels are assumed to be
 //! throughput-driven, i.e., many independent inputs are being computed."
 //! This module runs whole batches of independent FFTs — sequentially or
-//! across crossbeam-scoped worker threads — which is the shape CUFFT's
+//! across scoped worker threads — which is the shape CUFFT's
 //! batched API and the paper's streaming RTL cores actually execute.
 
 use super::{Complex, Direction, Fft};
-use crate::kernel::WorkloadError;
+use crate::kernel::{join_workers, WorkloadError};
 
 /// Transforms every signal in `batch` in place, sequentially.
 ///
@@ -70,12 +70,11 @@ pub fn transform_all_parallel(
         return Ok(());
     }
     let chunk = batch.len().div_ceil(threads);
-    const KERNEL: &str = "FFT batch transform";
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = batch
+    std::thread::scope(|scope| {
+        let handles = batch
             .chunks_mut(chunk)
             .map(|piece| {
-                scope.spawn(move |_| -> Result<(), WorkloadError> {
+                scope.spawn(move || -> Result<(), WorkloadError> {
                     for signal in piece.iter_mut() {
                         plan.transform(signal, direction)?;
                     }
@@ -83,14 +82,8 @@ pub fn transform_all_parallel(
                 })
             })
             .collect();
-        for handle in handles {
-            handle
-                .join()
-                .map_err(|_| WorkloadError::WorkerPanicked { kernel: KERNEL })??;
-        }
-        Ok(())
+        join_workers(handles, "FFT batch transform")?.into_iter().collect()
     })
-    .map_err(|_| WorkloadError::WorkerPanicked { kernel: KERNEL })?
 }
 
 #[cfg(test)]

@@ -80,6 +80,21 @@ impl fmt::Display for WorkloadError {
 
 impl Error for WorkloadError {}
 
+/// Joins every scoped worker of a parallel kernel, then reports the
+/// first one that panicked as [`WorkloadError::WorkerPanicked`].
+/// Joining them all first keeps a second panicking worker from
+/// re-panicking the caller through the scope's automatic join.
+pub(crate) fn join_workers<T>(
+    handles: Vec<std::thread::ScopedJoinHandle<'_, T>>,
+    kernel: &'static str,
+) -> Result<Vec<T>, WorkloadError> {
+    let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+    joined
+        .into_iter()
+        .map(|result| result.map_err(|_| WorkloadError::WorkerPanicked { kernel }))
+        .collect()
+}
+
 /// The three kernel families of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WorkloadKind {
@@ -387,5 +402,30 @@ mod tests {
     fn error_messages() {
         assert!(Workload::fft(12).unwrap_err().to_string().contains("power of two"));
         assert!(Workload::mmm(0).unwrap_err().to_string().contains("non-zero"));
+    }
+
+    #[test]
+    fn every_panicking_worker_becomes_worker_panicked() {
+        // Two of three workers panic. Both are joined here, so neither
+        // escapes through the scope's automatic join.
+        let joined = std::thread::scope(|scope| {
+            let handles = (0..3)
+                .map(|w| {
+                    scope.spawn(move || {
+                        if w != 1 {
+                            panic!("worker {w} fails on purpose");
+                        }
+                        w
+                    })
+                })
+                .collect();
+            join_workers(handles, "test kernel")
+        });
+        assert_eq!(joined, Err(WorkloadError::WorkerPanicked { kernel: "test kernel" }));
+        let all_ok = std::thread::scope(|scope| {
+            let handles = (0..3).map(|w| scope.spawn(move || w)).collect();
+            join_workers(handles, "test kernel")
+        });
+        assert_eq!(all_ok, Ok(vec![0, 1, 2]));
     }
 }

@@ -7,7 +7,7 @@
 //! * [`blocked::multiply`] — cache-blocked with an ikj loop order, the
 //!   single-threaded tuned kernel;
 //! * [`parallel::multiply`] — the blocked kernel with rows distributed
-//!   across threads (crossbeam scoped threads), standing in for the
+//!   across threads (std scoped threads), standing in for the
 //!   paper's MKL baseline;
 //! * [`strassen::multiply`] — the sub-cubic recursion, for completeness
 //!   and as a counterexample to the `2N³` operation convention.

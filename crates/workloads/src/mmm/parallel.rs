@@ -1,13 +1,13 @@
 //! Multithreaded blocked matrix multiplication.
 //!
 //! Rows of `C` are divided into contiguous bands, one per worker thread
-//! (crossbeam scoped threads, so no `'static` bounds on the inputs). This
+//! (scoped threads, so no `'static` bounds on the inputs). This
 //! is the closest analog to the throughput-driven, multicore-tuned MKL
 //! baseline the paper measures on the Core i7.
 
 use super::blocked::multiply_rows_to_slice;
 use super::{check_shapes, Matrix};
-use crate::kernel::WorkloadError;
+use crate::kernel::{join_workers, WorkloadError};
 
 /// Computes `C = A·B` with the blocked kernel on `threads` workers.
 ///
@@ -51,15 +51,18 @@ pub fn multiply(
         .map(|(i, chunk)| (i * band, chunk))
         .collect();
 
-    crossbeam::scope(|scope| {
-        for (row_start, chunk) in bands {
-            let row_end = row_start + chunk.len() / n;
-            scope.spawn(move |_| {
-                multiply_rows_to_slice(a, b, chunk, block, row_start, row_end);
-            });
-        }
-    })
-    .map_err(|_| WorkloadError::WorkerPanicked { kernel: "parallel MMM" })?;
+    std::thread::scope(|scope| {
+        let handles = bands
+            .into_iter()
+            .map(|(row_start, chunk)| {
+                let row_end = row_start + chunk.len() / n;
+                scope.spawn(move || {
+                    multiply_rows_to_slice(a, b, chunk, block, row_start, row_end);
+                })
+            })
+            .collect();
+        join_workers(handles, "parallel MMM")
+    })?;
     Ok(c)
 }
 

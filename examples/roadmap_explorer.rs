@@ -5,7 +5,7 @@
 //! Run with `cargo run --example roadmap_explorer`.
 
 use ucore::calibrate::{Table5, WorkloadColumn};
-use ucore::model::{MixedChip, ParallelFraction, UCorePartition};
+use ucore::model::{ParallelFraction, PortfolioChip, Segment, SegmentedWorkload};
 use ucore::project::{DesignId, ProjectionEngine, Scenario};
 use ucore_devices::{DeviceId, TechNode};
 
@@ -45,24 +45,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu_fft = table5
         .ucore(DeviceId::Gtx480, WorkloadColumn::Fft1024)
         .expect("published cell");
-    let chip = MixedChip::new(
-        75.0,
-        2.0,
-        vec![
-            UCorePartition { ucore: mmm_asic, area_share: 0.5, work_share: 0.5 },
-            UCorePartition { ucore: gpu_fft, area_share: 0.5, work_share: 0.5 },
-        ],
+    let half = 0.5 * f.get();
+    let workload = SegmentedWorkload::new(
+        f.serial(),
+        vec![Segment::new(half, mmm_asic)?, Segment::new(half, gpu_fft)?],
     )?;
-    let tuned = chip.with_optimal_shares();
+    let chip = PortfolioChip::new(75.0, 2.0, workload)?;
+    let even = 0.5 * chip.parallel_area();
+    let tuned = chip.allocate()?;
     println!(
         "\nmixed 22nm chip (MMM ASIC + GPU FFT fabric), f = 0.99, half the parallel work each:"
     );
-    println!("  naive 50/50 area split: speedup {}", chip.speedup(f)?);
+    println!("  naive 50/50 area split: speedup {}", chip.speedup_for(&[even, even])?);
     println!(
         "  optimal split ({}% / {}%): speedup {}",
-        (tuned.partitions()[0].area_share * 100.0).round(),
-        (tuned.partitions()[1].area_share * 100.0).round(),
-        tuned.speedup(f)?
+        (tuned.areas[0] / chip.parallel_area() * 100.0).round(),
+        (tuned.areas[1] / chip.parallel_area() * 100.0).round(),
+        tuned.speedup
     );
     Ok(())
 }

@@ -33,7 +33,7 @@ fn fixed_design_profiles_collapse_to_their_mean() {
     // model's execution *time* is linear in f, a fixed design's speedup
     // under any parallelism profile equals its speedup at the profile's
     // mean f. Profiles only change conclusions when phases run on
-    // different fabrics (MixedChip) or designs are re-optimized.
+    // different fabrics (a PortfolioChip) or designs are re-optimized.
     let table5 = Table5::derive().unwrap();
     let profile = ParallelismProfile::new(vec![(f(0.999), 0.7), (f(0.3), 0.3)]).unwrap();
     let mean = ParallelFraction::new(profile.mean_f()).unwrap();
@@ -55,26 +55,23 @@ fn profiles_matter_for_mixed_fabric_chips() {
     // Where a profile genuinely matters: routing each phase to its own
     // fabric. A chip with an MMM ASIC and an FFT GPU fabric beats a
     // single-fabric compromise on a two-kernel profile.
-    use ucore::model::{MixedChip, UCorePartition};
+    use ucore::model::{PortfolioChip, Segment, SegmentedWorkload};
     let table5 = Table5::derive().unwrap();
     let mmm_asic = table5.ucore(DeviceId::Asic, WorkloadColumn::Mmm).unwrap();
     let fft_gpu = table5
         .ucore(DeviceId::Gtx480, WorkloadColumn::Fft1024)
         .unwrap();
-    let mixed = MixedChip::new(
-        75.0,
-        2.0,
-        vec![
-            UCorePartition { ucore: mmm_asic, area_share: 0.5, work_share: 0.5 },
-            UCorePartition { ucore: fft_gpu, area_share: 0.5, work_share: 0.5 },
-        ],
+    let fv = f(0.99);
+    let half = 0.5 * fv.get();
+    let workload = SegmentedWorkload::new(
+        fv.serial(),
+        vec![Segment::new(half, mmm_asic).unwrap(), Segment::new(half, fft_gpu).unwrap()],
     )
-    .unwrap()
-    .with_optimal_shares();
+    .unwrap();
+    let mixed = PortfolioChip::new(75.0, 2.0, workload).unwrap().allocate().unwrap();
     // The single-fabric alternative runs both kernels on the GPU fabric.
     let gpu_only = ChipSpec::heterogeneous(fft_gpu);
-    let fv = f(0.99);
-    let mixed_speedup = mixed.speedup(fv).unwrap().get();
+    let mixed_speedup = mixed.speedup.get();
     let gpu_speedup = gpu_only.speedup(fv, 75.0, 2.0).unwrap().get();
     assert!(
         mixed_speedup > gpu_speedup,
