@@ -241,14 +241,21 @@ fn render_projection(fig: &FigureData, log_y: bool) -> String {
     out
 }
 
+/// Renders projection figure `number` (`"6"`-`"11"`) from its data.
+/// The MMM (7) and portfolio (11) figures span decades, so they get a
+/// log y-axis.
+pub fn projection_figure(number: &str, fig: &FigureData) -> String {
+    let log_y = matches!(number, "7" | "11");
+    format!("Figure {number}: {}", render_projection(fig, log_y))
+}
+
 /// Figure 6: the FFT-1024 projection.
 ///
 /// # Errors
 ///
 /// Propagates projection errors (none with the shipped data).
 pub fn figure6() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure6()?;
-    Ok(format!("Figure 6: {}", render_projection(&fig, false)))
+    Ok(projection_figure("6", &proj::figure6()?))
 }
 
 /// Figure 7: the MMM projection.
@@ -257,8 +264,7 @@ pub fn figure6() -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// Propagates projection errors.
 pub fn figure7() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure7()?;
-    Ok(format!("Figure 7: {}", render_projection(&fig, true)))
+    Ok(projection_figure("7", &proj::figure7()?))
 }
 
 /// Figure 8: the Black-Scholes projection.
@@ -267,8 +273,7 @@ pub fn figure7() -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// Propagates projection errors.
 pub fn figure8() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure8()?;
-    Ok(format!("Figure 8: {}", render_projection(&fig, false)))
+    Ok(projection_figure("8", &proj::figure8()?))
 }
 
 /// Figure 9: FFT-1024 at 1 TB/s.
@@ -277,8 +282,7 @@ pub fn figure8() -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// Propagates projection errors.
 pub fn figure9() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure9()?;
-    Ok(format!("Figure 9: {}", render_projection(&fig, false)))
+    Ok(projection_figure("9", &proj::figure9()?))
 }
 
 /// Figure 10: the MMM energy projection.
@@ -287,8 +291,7 @@ pub fn figure9() -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// Propagates projection errors.
 pub fn figure10() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure10()?;
-    Ok(format!("Figure 10: {}", render_projection(&fig, false)))
+    Ok(projection_figure("10", &proj::figure10()?))
 }
 
 /// Figure 11: the composite-workload portfolio projection (shared
@@ -298,8 +301,7 @@ pub fn figure10() -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// Propagates projection errors.
 pub fn figure11() -> Result<String, Box<dyn std::error::Error>> {
-    let fig = proj::figure11()?;
-    Ok(format!("Figure 11: {}", render_projection(&fig, true)))
+    Ok(projection_figure("11", &proj::figure11()?))
 }
 
 #[cfg(test)]

@@ -15,12 +15,15 @@
 
 use crate::{figures, scenarios, tables};
 use std::fmt;
+use ucore_project::FigureData;
 
 /// A renderable artifact, addressed the way both front ends spell it
 /// (`repro --table 5` / `GET /table/5`; `repro --json figure-6` /
 /// `GET /json/figure-6`). Values are kept as the caller's raw strings
-/// so error messages echo exactly what was asked for.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// so error messages echo exactly what was asked for. Only the
+/// canonical spelling of each value renders (`"5"`, never `"05"`), so
+/// the targets that render are exactly the 34 of [`Target::all`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Target {
     /// A paper table, `"1"`-`"6"`.
     Table(String),
@@ -35,15 +38,28 @@ pub enum Target {
     Csv(String),
 }
 
+impl Target {
+    /// Every artifact, in canonical spelling: tables 1-6, figures 2-11,
+    /// scenarios 1-6, then JSON and CSV for figures 6-11.
+    pub fn all() -> Vec<Target> {
+        let mut all: Vec<Target> = (1..=6).map(|n| Target::Table(n.to_string())).collect();
+        all.extend((2..=11).map(|n| Target::Figure(n.to_string())));
+        all.extend((1..=6).map(|n| Target::Scenario(n.to_string())));
+        all.extend((6..=11).map(|n| Target::Json(format!("figure-{n}"))));
+        all.extend((6..=11).map(|n| Target::Csv(format!("figure-{n}"))));
+        all
+    }
+}
+
 /// The rendered bytes plus the health the render observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rendered {
     /// The exact bytes `repro` would write to stdout for this target
     /// (trailing newline included).
     pub body: String,
-    /// Contained sweep failures inside this render, for projection
-    /// targets (`Json`/`Csv`, whose [`ucore_project::FigureData`]
-    /// carries health). `None` for targets without per-render health.
+    /// Contained sweep failures inside this render, for every target
+    /// that sweeps: figures 6-11, scenarios, and the JSON/CSV exports.
+    /// `None` for tables and figures 2-5, which run no sweep.
     pub points_failed: Option<u64>,
 }
 
@@ -107,16 +123,32 @@ fn model_error(e: impl fmt::Display) -> RenderError {
 /// [`RenderError::UnknownProjection`] for a target outside
 /// `figure-6`-`figure-11`, [`RenderError::Model`] for projection
 /// failures.
-pub fn projection(which: &str) -> Result<ucore_project::FigureData, RenderError> {
-    match which {
-        "figure-6" => ucore_project::figures::figure6().map_err(model_error),
-        "figure-7" => ucore_project::figures::figure7().map_err(model_error),
-        "figure-8" => ucore_project::figures::figure8().map_err(model_error),
-        "figure-9" => ucore_project::figures::figure9().map_err(model_error),
-        "figure-10" => ucore_project::figures::figure10().map_err(model_error),
-        "figure-11" => ucore_project::figures::figure11().map_err(model_error),
-        other => Err(RenderError::UnknownProjection(other.to_string())),
-    }
+pub fn projection(which: &str) -> Result<FigureData, RenderError> {
+    which
+        .strip_prefix("figure-")
+        .and_then(project)
+        .unwrap_or_else(|| Err(RenderError::UnknownProjection(which.to_string())))
+}
+
+/// The projection behind figure `n`, or `None` when `n` is not one of
+/// `6`-`11`.
+fn project(n: &str) -> Option<Result<FigureData, RenderError>> {
+    let fig = match n {
+        "6" => ucore_project::figures::figure6(),
+        "7" => ucore_project::figures::figure7(),
+        "8" => ucore_project::figures::figure8(),
+        "9" => ucore_project::figures::figure9(),
+        "10" => ucore_project::figures::figure10(),
+        "11" => ucore_project::figures::figure11(),
+        _ => return None,
+    };
+    Some(fig.map_err(model_error))
+}
+
+/// A swept body with the failures of the figures behind it.
+fn swept(body: String, figs: &[FigureData]) -> Rendered {
+    let failed = figs.iter().map(|f| f.health.points_failed as u64).sum();
+    Rendered { body: format!("{body}\n"), points_failed: Some(failed) }
 }
 
 /// Renders one target to the exact stdout bytes `repro` prints for it.
@@ -127,7 +159,7 @@ pub fn projection(which: &str) -> Result<ucore_project::FigureData, RenderError>
 /// [`RenderError::Model`] when the projection, calibration, or JSON
 /// serialization fails.
 pub fn render(target: &Target) -> Result<Rendered, RenderError> {
-    let no_health = |body: String| Rendered { body, points_failed: None };
+    let unswept = |body: String| Rendered { body: format!("{body}\n"), points_failed: None };
     match target {
         Target::Table(n) => {
             let body = match n.as_str() {
@@ -139,45 +171,38 @@ pub fn render(target: &Target) -> Result<Rendered, RenderError> {
                 "6" => tables::table6(),
                 other => return Err(RenderError::UnknownTable(other.to_string())),
             };
-            Ok(no_health(format!("{body}\n")))
+            Ok(unswept(body))
         }
         Target::Figure(n) => {
+            if let Some(fig) = project(n) {
+                let fig = fig?;
+                return Ok(swept(figures::projection_figure(n, &fig), &[fig]));
+            }
             let body = match n.as_str() {
                 "2" => figures::figure2(),
                 "3" => figures::figure3(),
                 "4" => figures::figure4(),
                 "5" => figures::figure5(),
-                "6" => figures::figure6().map_err(model_error)?,
-                "7" => figures::figure7().map_err(model_error)?,
-                "8" => figures::figure8().map_err(model_error)?,
-                "9" => figures::figure9().map_err(model_error)?,
-                "10" => figures::figure10().map_err(model_error)?,
-                "11" => figures::figure11().map_err(model_error)?,
                 other => return Err(RenderError::UnknownFigure(other.to_string())),
             };
-            Ok(no_health(format!("{body}\n")))
+            Ok(unswept(body))
         }
         Target::Scenario(n) => {
-            let num: u8 = n
-                .parse()
-                .map_err(|_| RenderError::UnknownScenario(n.clone()))?;
-            let body = scenarios::scenario(num).map_err(model_error)?;
-            Ok(no_health(format!("{body}\n")))
+            let num = match n.as_bytes() {
+                [digit @ b'1'..=b'6'] => digit - b'0',
+                _ => return Err(RenderError::UnknownScenario(n.clone())),
+            };
+            let figs = scenarios::scenario_data(num).map_err(model_error)?;
+            Ok(swept(scenarios::render_scenario(num, &figs), &figs))
         }
         Target::Json(which) => {
             let fig = projection(which)?;
             let json = serde_json::to_string_pretty(&fig).map_err(model_error)?;
-            Ok(Rendered {
-                body: format!("{json}\n"),
-                points_failed: Some(fig.health.points_failed as u64),
-            })
+            Ok(swept(json, &[fig]))
         }
         Target::Csv(which) => {
             let fig = projection(which)?;
-            Ok(Rendered {
-                body: format!("{}\n", figures::figure_csv(&fig)),
-                points_failed: Some(fig.health.points_failed as u64),
-            })
+            Ok(swept(figures::figure_csv(&fig), &[fig]))
         }
     }
 }
@@ -220,5 +245,41 @@ mod tests {
         assert_eq!(t5.points_failed, None);
         let s1 = render(&Target::Scenario("1".into())).unwrap();
         assert_eq!(s1.body, format!("{}\n", scenarios::scenario(1).unwrap()));
+        assert_eq!(s1.points_failed, Some(0));
+    }
+
+    #[test]
+    fn projection_figures_report_health_and_keep_their_bytes() {
+        let f7 = render(&Target::Figure("7".into())).unwrap();
+        assert_eq!(f7.body, format!("{}\n", figures::figure7().unwrap()));
+        assert_eq!(f7.points_failed, Some(0));
+        let f5 = render(&Target::Figure("5".into())).unwrap();
+        assert_eq!(f5.points_failed, None);
+    }
+
+    #[test]
+    fn only_canonical_spellings_render() {
+        for target in [
+            Target::Scenario("01".into()),
+            Target::Scenario("+1".into()),
+            Target::Scenario("0001".into()),
+            Target::Scenario("7".into()),
+            Target::Figure("07".into()),
+            Target::Table("05".into()),
+            Target::Json("figure-06".into()),
+        ] {
+            let err = render(&target).unwrap_err();
+            assert!(err.is_bad_target(), "{target:?} rendered");
+        }
+    }
+
+    #[test]
+    fn all_lists_the_34_distinct_artifacts() {
+        let all = Target::all();
+        assert_eq!(all.len(), 34);
+        let distinct: std::collections::HashSet<&Target> = all.iter().collect();
+        assert_eq!(distinct.len(), all.len());
+        assert_eq!(all[0], Target::Table("1".into()));
+        assert_eq!(all[33], Target::Csv("figure-11".into()));
     }
 }

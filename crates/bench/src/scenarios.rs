@@ -77,13 +77,19 @@ pub fn scenario_data(n: u8) -> Result<Vec<FigureData>, Box<dyn std::error::Error
 ///
 /// As [`scenario_data`].
 pub fn scenario(n: u8) -> Result<String, Box<dyn std::error::Error>> {
-    let (_, _, summary) = plan(n).ok_or_else(|| format!("scenario {n} is not one of 1-6"))?;
+    Ok(render_scenario(n, &scenario_data(n)?))
+}
+
+/// Renders scenario `n` from the figures [`scenario_data`] returned
+/// for it.
+pub fn render_scenario(n: u8, figs: &[FigureData]) -> String {
+    let summary = plan(n).map_or("", |(_, _, summary)| summary);
     let mut out = format!("Scenario {n}: {summary}\n");
-    for fig in scenario_data(n)? {
-        out.push_str(&crate::figures::render_figure(&fig));
+    for fig in figs {
+        out.push_str(&crate::figures::render_figure(fig));
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

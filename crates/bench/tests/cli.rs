@@ -199,6 +199,7 @@ fn bad_arguments_fail_with_usage() {
         vec!["--table", "9"],
         vec!["--figure", "1"],
         vec!["--scenario", "7"],
+        vec!["--scenario", "01"],
         vec!["--json", "figure-2"],
         vec!["--nonsense"],
         vec!["--table"],

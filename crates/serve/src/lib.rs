@@ -20,6 +20,10 @@
 //!   under `catch_unwind`; contained panics, injected faults
 //!   (`UCORE_FAULT_INJECT`), and degraded journaling surface as
 //!   taxonomy-coded JSON errors while the process keeps serving.
+//! * **Body cache** ([`server`]): each [`Server`] stores an artifact's
+//!   first clean 200 and answers every later request for the same
+//!   target from it, without evaluation; at most one entry per
+//!   artifact (34), never an error response.
 //! * **Graceful shutdown** ([`server`]): SIGINT/SIGTERM (see the
 //!   `served` binary) stops admission, drains in-flight requests under
 //!   a bounded deadline, flushes the run journal, and exits 0; a

@@ -5,20 +5,22 @@
 //! `GET /metrics` in the Prometheus exposition format. The serve-layer
 //! metric-name contract (DESIGN.md §17):
 //!
-//! | name                     | type      | meaning                                      |
-//! |--------------------------|-----------|----------------------------------------------|
-//! | `serve.accepted`         | counter   | connections accepted by the listener         |
-//! | `serve.requests`         | counter   | requests handed to a worker                  |
-//! | `serve.responses_ok`     | counter   | 2xx responses written                        |
-//! | `serve.responses_error`  | counter   | taxonomy-coded error responses written       |
-//! | `serve.shed`             | counter   | connections shed by admission control (503)  |
-//! | `serve.timeouts`         | counter   | requests that exceeded their deadline (504)  |
-//! | `serve.panics`           | counter   | handler panics contained by the envelope     |
-//! | `serve.ingress_rejected` | counter   | connections rejected at the HTTP layer (4xx) |
-//! | `serve.bytes_out`        | counter   | response body bytes written                  |
-//! | `serve.queue_depth`      | gauge     | connections currently parked in the queue    |
-//! | `serve.inflight`         | gauge     | requests currently executing in workers      |
-//! | `serve.request_us`       | histogram | request wall time (µs; timing, non-golden)   |
+//! | name                       | type      | meaning                                        |
+//! |----------------------------|-----------|------------------------------------------------|
+//! | `serve.accepted`           | counter   | connections accepted by the listener           |
+//! | `serve.requests`           | counter   | requests handed to a worker                    |
+//! | `serve.responses_ok`       | counter   | 2xx responses written                          |
+//! | `serve.responses_error`    | counter   | taxonomy-coded error responses written         |
+//! | `serve.shed`               | counter   | connections shed by admission control (503)    |
+//! | `serve.timeouts`           | counter   | requests that exceeded their deadline (504)    |
+//! | `serve.panics`             | counter   | handler panics contained by the envelope       |
+//! | `serve.ingress_rejected`   | counter   | connections rejected at the HTTP layer (4xx)   |
+//! | `serve.bytes_out`          | counter   | response body bytes written                    |
+//! | `serve.body_cache_hits`    | counter   | artifact requests answered from the body cache |
+//! | `serve.queue_depth`        | gauge     | connections currently parked in the queue      |
+//! | `serve.inflight`           | gauge     | requests currently executing in workers        |
+//! | `serve.body_cache_entries` | gauge     | clean artifact bodies cached (at most 34)      |
+//! | `serve.request_us`         | histogram | request wall time (µs; timing, non-golden)     |
 //!
 //! Counters and gauges are request-count-derived, so a scrape after a
 //! known request sequence is deterministic; `serve.request_us` is
@@ -46,8 +48,10 @@ pub(crate) struct ServeMetrics {
     pub(crate) panics: Arc<Counter>,
     pub(crate) ingress_rejected: Arc<Counter>,
     pub(crate) bytes_out: Arc<Counter>,
+    pub(crate) body_cache_hits: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) inflight: Arc<Gauge>,
+    pub(crate) body_cache_entries: Arc<Gauge>,
     pub(crate) request_us: Arc<Histogram>,
 }
 
@@ -66,8 +70,10 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
             panics: r.counter("serve.panics"),
             ingress_rejected: r.counter("serve.ingress_rejected"),
             bytes_out: r.counter("serve.bytes_out"),
+            body_cache_hits: r.counter("serve.body_cache_hits"),
             queue_depth: r.gauge("serve.queue_depth"),
             inflight: r.gauge("serve.inflight"),
+            body_cache_entries: r.gauge("serve.body_cache_entries"),
             request_us: r.histogram("serve.request_us", &REQUEST_US_BOUNDS),
         }
     })

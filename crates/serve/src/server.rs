@@ -14,7 +14,7 @@
 
 use crate::error::ServeError;
 use crate::http::{self, Limits, ParseError};
-use crate::service::{self, Response};
+use crate::service::{self, BodyCache, Response};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -107,13 +107,17 @@ impl ShutdownHandle {
     }
 }
 
-/// A bound listener plus its shutdown flag; `run` turns it into the
-/// serving loop.
+/// A bound listener plus its shutdown flag and artifact body cache;
+/// `run` turns it into the serving loop.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     config: ServerConfig,
     shutdown: ShutdownHandle,
+    /// This server's clean artifact responses, shared by its workers.
+    /// Each server starts empty, so servers in one process stay
+    /// independent.
+    cache: Arc<BodyCache>,
 }
 
 impl Server {
@@ -128,7 +132,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let wake = loopback_if_unspecified(listener.local_addr()?);
         let shutdown = ShutdownHandle { flag: Arc::new(AtomicBool::new(false)), wake };
-        Ok(Server { listener, config, shutdown })
+        Ok(Server { listener, config, shutdown, cache: Arc::new(BodyCache::new()) })
     }
 
     /// The bound address (useful after binding port 0).
@@ -162,9 +166,10 @@ impl Server {
         for _ in 0..workers {
             let receiver = Arc::clone(&receiver);
             let occupancy = Arc::clone(&occupancy);
+            let cache = Arc::clone(&self.cache);
             let config = self.config.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(&receiver, &occupancy, &config);
+                worker_loop(&receiver, &occupancy, &config, &cache);
             }));
         }
 
@@ -273,6 +278,7 @@ fn worker_loop(
     receiver: &Arc<Mutex<Receiver<TcpStream>>>,
     occupancy: &Occupancy,
     config: &ServerConfig,
+    cache: &BodyCache,
 ) {
     let m = crate::obs::metrics();
     loop {
@@ -284,19 +290,24 @@ fn worker_loop(
         let Ok(stream) = next else { return };
         let depth = (occupancy.queued.fetch_sub(1, Ordering::SeqCst) - 1).max(0);
         m.queue_depth.set(depth as f64);
-        handle_connection(stream, occupancy, config);
+        handle_connection(stream, occupancy, config, cache);
     }
 }
 
 /// Reads, handles, and answers one connection, absorbing every failure
 /// into a typed response (or a silent drop when the peer vanished).
-fn handle_connection(mut stream: TcpStream, occupancy: &Occupancy, config: &ServerConfig) {
+fn handle_connection(
+    mut stream: TcpStream,
+    occupancy: &Occupancy,
+    config: &ServerConfig,
+    cache: &BodyCache,
+) {
     let m = crate::obs::metrics();
     let started = Instant::now();
     m.requests.inc();
     m.inflight.set((occupancy.inflight.fetch_add(1, Ordering::SeqCst) + 1) as f64);
     let response = match http::read_request(&mut stream, &config.limits) {
-        Ok(request) => Some(service::handle(&request, config.request_timeout)),
+        Ok(request) => Some(service::handle_with(&request, config.request_timeout, Some(cache))),
         Err(ParseError::Closed) => None,
         Err(e) => {
             m.ingress_rejected.inc();

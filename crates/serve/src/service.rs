@@ -10,9 +10,16 @@
 //! process down. Successful bodies are byte-identical to `repro`
 //! stdout for the same target — both front ends render through
 //! [`ucore_bench::render`].
+//!
+//! A [`crate::Server`] answers through its own body cache: an
+//! artifact's first clean 200 is stored, and every later request for
+//! the same [`Target`] is answered from the cache without evaluation.
+//! [`handle`] itself never caches.
 
 use crate::error::ServeError;
 use crate::http::Request;
+use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 use std::time::Duration;
 use ucore_bench::Target;
 
@@ -53,16 +60,86 @@ enum Route {
     Render(Target),
 }
 
-/// Handles one parsed request end to end. Infallible by construction:
-/// every failure mode is a taxonomy-coded error response.
+/// The clean artifact responses one server has rendered, keyed by
+/// canonical [`Target`].
+///
+/// Only 200 responses are stored, and [`render_contained`] answers 200
+/// only for a render in which no point failed and no deadline expired.
+/// Since only canonical target spellings render, the cache never holds
+/// more than the 34 artifacts of [`Target::all`]; the limit enforces
+/// that bound whatever arrives.
+#[derive(Debug)]
+pub(crate) struct BodyCache {
+    responses: RwLock<HashMap<Target, Response>>,
+    limit: usize,
+}
+
+impl BodyCache {
+    /// An empty cache, sized for every artifact. The entries gauge
+    /// follows the newest cache, so it restarts at zero.
+    pub(crate) fn new() -> Self {
+        let limit = Target::all().len();
+        crate::obs::metrics().body_cache_entries.set(0.0);
+        BodyCache { responses: RwLock::new(HashMap::with_capacity(limit)), limit }
+    }
+
+    /// The stored response for `target`, counted as a hit.
+    fn get(&self, target: &Target) -> Option<Response> {
+        let hit = self
+            .responses
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(target)
+            .cloned();
+        if hit.is_some() {
+            crate::obs::metrics().body_cache_hits.inc();
+        }
+        hit
+    }
+
+    /// Stores `response` for `target` if it is a 200, and returns it.
+    /// A concurrent render of the same target keeps the first entry;
+    /// both bodies are the same bytes.
+    fn store(&self, target: Target, response: Response) -> Response {
+        if response.status == 200 {
+            let mut responses = self.responses.write().unwrap_or_else(PoisonError::into_inner);
+            if responses.len() < self.limit {
+                responses.entry(target).or_insert_with(|| response.clone());
+            }
+            crate::obs::metrics().body_cache_entries.set(responses.len() as f64);
+        }
+        response
+    }
+}
+
+/// Handles one parsed request end to end, rendering every artifact
+/// afresh. Infallible by construction: every failure mode is a
+/// taxonomy-coded error response.
 pub fn handle(request: &Request, request_timeout: Option<Duration>) -> Response {
+    handle_with(request, request_timeout, None)
+}
+
+/// As [`handle`], but an artifact already in `cache` is answered from
+/// it, and a clean render is stored there. `/healthz` and `/metrics`
+/// are never cached.
+pub(crate) fn handle_with(
+    request: &Request,
+    request_timeout: Option<Duration>,
+    cache: Option<&BodyCache>,
+) -> Response {
     match route(request) {
         Ok(Route::Healthz) => Response::ok("text/plain; charset=utf-8", "ok\n"),
         Ok(Route::Metrics) => Response::ok(
             "text/plain; charset=utf-8",
             ucore_obs::registry().snapshot().render_prometheus(),
         ),
-        Ok(Route::Render(target)) => render_contained(&target, request_timeout),
+        Ok(Route::Render(target)) => match cache {
+            None => render_contained(&target, request_timeout),
+            Some(cache) => cache.get(&target).unwrap_or_else(|| {
+                let response = render_contained(&target, request_timeout);
+                cache.store(target, response)
+            }),
+        },
         Err(e) => Response::from_error(&e),
     }
 }
@@ -87,8 +164,9 @@ fn route(request: &Request) -> Result<Route, ServeError> {
 }
 
 /// Maps a GET path to its render target. Validation of the *value*
-/// (`figure 12 is not one of 2-11`) belongs to the render layer; only
-/// the path shape is decided here.
+/// (`figure 12 is not one of 2-11`, `scenario "01"`) belongs to the
+/// render layer, which accepts only canonical spellings; only the path
+/// shape is decided here.
 fn artifact_route(path: &str) -> Result<Route, ServeError> {
     let target = if let Some(n) = path.strip_prefix("/table/") {
         Target::Table(n.to_string())
@@ -169,7 +247,8 @@ fn content_type(target: &Target) -> &'static str {
 }
 
 /// Renders a target inside the full containment envelope: per-request
-/// deadline armed, panics caught, partial data suppressed.
+/// deadline armed, panics caught, partial data suppressed. A 200 comes
+/// only from a render in which no point failed and no deadline expired.
 fn render_contained(target: &Target, request_timeout: Option<Duration>) -> Response {
     let _guard = request_timeout.map(ucore_project::arm_request_deadline);
     let caught = ucore_project::catch_unwind_quietly(|| ucore_bench::render::render(target));

@@ -5,108 +5,17 @@
 //!
 //! Everything here shares process-global state (the metrics registry,
 //! the durability slot, the fault-injection slot), so every test runs
-//! under one mutex.
+//! under one mutex (`common::serialized`).
 
+mod common;
+
+use common::{boot, counter, error_code, get, post_query, serialized, temp_path, Running};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use ucore_bench::Target;
 use ucore_project::durability::{self, DurabilityConfig};
 use ucore_project::faultinject::{Fault, FaultPlan};
-use ucore_serve::{Server, ServerConfig, ShutdownHandle};
-
-/// Serializes tests around the process-global durability, fault, and
-/// metrics state.
-fn serialized() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A stopped server's pieces: address plus a closure that drains it.
-struct Running {
-    addr: std::net::SocketAddr,
-    shutdown: ShutdownHandle,
-    handle: std::thread::JoinHandle<std::io::Result<ucore_serve::DrainReport>>,
-}
-
-impl Running {
-    fn stop(self) -> ucore_serve::DrainReport {
-        self.shutdown.request();
-        self.handle
-            .join()
-            .expect("server thread")
-            .expect("server run")
-    }
-}
-
-fn boot(configure: impl FnOnce(&mut ServerConfig)) -> Running {
-    let mut config = ServerConfig::new("127.0.0.1:0");
-    config.workers = 2;
-    config.queue_depth = 4;
-    config.io_timeout = Duration::from_millis(800);
-    config.drain = Duration::from_secs(10);
-    configure(&mut config);
-    let server = Server::bind(config).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let shutdown = server.shutdown_handle();
-    let handle = std::thread::spawn(move || server.run());
-    Running { addr, shutdown, handle }
-}
-
-/// One full request/response exchange; returns (status, body).
-fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("read timeout");
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-        .expect("send");
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    split_response(&raw)
-}
-
-fn split_response(raw: &[u8]) -> (u16, Vec<u8>) {
-    let sep = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header separator in {:?}", String::from_utf8_lossy(raw)));
-    let head = std::str::from_utf8(&raw[..sep]).expect("head is UTF-8");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status in {head:?}"));
-    (status, raw[sep + 4..].to_vec())
-}
-
-fn error_code(body: &[u8]) -> String {
-    let value: serde_json::Value = serde_json::from_slice(body)
-        .unwrap_or_else(|e| panic!("body not JSON ({e}): {:?}", String::from_utf8_lossy(body)));
-    value
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(serde_json::Value::as_str)
-        .expect("error.code")
-        .to_string()
-}
-
-fn counter(name: &str) -> u64 {
-    ucore_obs::registry().snapshot().counter(name)
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir();
-    dir.join(format!("ucore-serve-e2e-{tag}-{}.jsonl", std::process::id()))
-}
 
 #[test]
 fn served_bodies_are_byte_identical_to_the_render_path() {
@@ -284,25 +193,40 @@ fn request_deadline_returns_504_with_the_taxonomy_code() {
 #[test]
 fn injected_fault_degrades_one_response_and_recovery_is_byte_identical() {
     let _gate = serialized();
-    let server = boot(|_| {});
+    // Every route whose render sweeps withholds partial data: the
+    // projection exports, the text figure, a scenario, and a text query.
+    let cases: [(&str, Option<&str>, Target); 5] = [
+        ("/json/figure-7", None, Target::Json("figure-7".into())),
+        ("/csv/figure-7", None, Target::Csv("figure-7".into())),
+        ("/figure/7", None, Target::Figure("7".into())),
+        ("/scenario/1", None, Target::Scenario("1".into())),
+        ("/query", Some(r#"{"target":"figure-7"}"#), Target::Figure("7".into())),
+    ];
+    for (path, query, target) in cases {
+        // A fresh server per case: a clean render of an earlier case
+        // would otherwise answer a later one from the body cache.
+        let server = boot(|_| {});
+        let fetch = || match query {
+            Some(body) => post_query(server.addr, body),
+            None => get(server.addr, path),
+        };
+        let guard = ucore_project::faultinject::activate(
+            FaultPlan::new().with(3, Fault::Panic),
+        );
+        let (status, body) = fetch();
+        assert_eq!(status, 500, "{path}: {:?}", String::from_utf8_lossy(&body));
+        assert_eq!(error_code(&body), "request.failed", "{path}");
+        drop(guard);
 
-    let guard = ucore_project::faultinject::activate(
-        FaultPlan::new().with(3, Fault::Panic),
-    );
-    let (status, body) = get(server.addr, "/json/figure-7");
-    assert_eq!(status, 500, "{:?}", String::from_utf8_lossy(&body));
-    assert_eq!(error_code(&body), "request.failed");
-    drop(guard);
-
-    // With the fault cleared the same process serves the full artifact,
-    // byte-identical to a clean render.
-    let (status, body) = get(server.addr, "/json/figure-7");
-    assert_eq!(status, 200);
-    let direct = ucore_bench::render::render(&Target::Json("figure-7".into()))
-        .expect("clean render");
-    assert_eq!(body, direct.body.into_bytes());
-    let report = server.stop();
-    assert!(report.drained);
+        // With the fault cleared the same process serves the full
+        // artifact, byte-identical to a clean render.
+        let (status, body) = fetch();
+        assert_eq!(status, 200, "{path}");
+        let direct = ucore_bench::render::render(&target).expect("clean render");
+        assert_eq!(body, direct.body.into_bytes(), "{path} recovered different bytes");
+        let report = server.stop();
+        assert!(report.drained);
+    }
 }
 
 #[test]
@@ -361,8 +285,10 @@ fn metrics_endpoint_exposes_the_serve_contract() {
         "ucore_serve_panics",
         "ucore_serve_ingress_rejected",
         "ucore_serve_bytes_out",
+        "ucore_serve_body_cache_hits",
         "ucore_serve_queue_depth",
         "ucore_serve_inflight",
+        "ucore_serve_body_cache_entries",
         "ucore_serve_request_us",
     ] {
         assert!(text.contains(name), "missing {name} in exposition:\n{text}");
